@@ -107,7 +107,7 @@ func TestChaosDaemonUnderInjectedFaults(t *testing.T) {
 				failures++
 				return
 			}
-			res := resp.Result.Result()
+			res := resp.Result
 			if res == nil {
 				t.Errorf("request %d: success with no result", i)
 				return
@@ -150,7 +150,7 @@ func TestChaosDaemonUnderInjectedFaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("graph %d after chaos: %v", gi, err)
 		}
-		if err := resultsBitIdentical(want[gi], resp.Result.Result()); err != nil {
+		if err := resultsBitIdentical(want[gi], resp.Result); err != nil {
 			t.Fatalf("graph %d after chaos diverged: %v", gi, err)
 		}
 	}

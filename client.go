@@ -300,7 +300,7 @@ func (c *Client) Plan(ctx context.Context, g *Graph, opts PlanOptions) (*PlanRes
 	var resp PlanResponse
 	err := c.do(ctx, http.MethodPost, "/v1/plan", PlanRequestWire{
 		Graph:   g,
-		Options: optionsToWire(opts),
+		Options: opts,
 	}, &resp)
 	if err != nil {
 		return nil, err
@@ -313,7 +313,7 @@ func (c *Client) SubmitJob(ctx context.Context, g *Graph, opts PlanOptions) (Job
 	var st JobStatus
 	err := c.do(ctx, http.MethodPost, "/v1/jobs", PlanRequestWire{
 		Graph:   g,
-		Options: optionsToWire(opts),
+		Options: opts,
 	}, &st)
 	return st, err
 }
@@ -393,14 +393,4 @@ func (c *Client) Stats(ctx context.Context) (*ServiceStats, error) {
 // Health checks /healthz.
 func (c *Client) Health(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
-}
-
-func optionsToWire(opts PlanOptions) PlanOptionsWire {
-	return PlanOptionsWire{
-		Method:           opts.Method,
-		SampleBudget:     opts.SampleBudget,
-		Seed:             opts.Seed,
-		UseSimulator:     opts.UseSimulator,
-		SeedFromAnalytic: opts.SeedFromAnalytic,
-	}
 }

@@ -1,11 +1,11 @@
 // Command mcmbench measures the worker-pool speedups of the repository's
 // hot paths and writes them to a JSON file, so the performance trajectory
-// is tracked PR over PR (BENCH_PR1.json is the first point; CI uploads the
-// current BENCH_PR<n>.json as an artifact).
+// is tracked over time (the committed BENCH_PR*.json files are earlier
+// points; CI uploads the current mcmbench.json as an artifact).
 //
 // Usage:
 //
-//	mcmbench [-out BENCH_PR7.json] [-workers N] [-iters N] [-pr N]
+//	mcmbench [-out mcmbench.json] [-workers N] [-iters N]
 //
 // Besides the worker-pool speedups, the report carries a transfer
 // benchmark — the samples each deployment mode (RL from scratch, zero-shot,
@@ -130,7 +130,6 @@ type ResilienceBench struct {
 
 // Report is the emitted JSON document.
 type Report struct {
-	PR         int              `json:"pr"`
 	CPUs       int              `json:"cpus"`
 	Workers    int              `json:"workers"`
 	Benches    []Bench          `json:"benchmarks"`
@@ -144,13 +143,12 @@ type Report struct {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_PR7.json", "output JSON path")
+	out := flag.String("out", "mcmbench.json", "output JSON path")
 	workers := flag.Int("workers", runtime.NumCPU(), "parallel worker count to benchmark against workers=1")
 	iters := flag.Int("iters", 3, "timed repetitions per configuration (best is kept)")
-	pr := flag.Int("pr", 7, "PR number recorded in the report")
 	flag.Parse()
 
-	rep := Report{PR: *pr, CPUs: runtime.NumCPU(), Workers: *workers}
+	rep := Report{CPUs: runtime.NumCPU(), Workers: *workers}
 	rep.Benches = append(rep.Benches,
 		benchMatMul(*workers, *iters),
 		benchRollouts(*workers, *iters),

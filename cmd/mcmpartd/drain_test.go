@@ -124,7 +124,7 @@ func TestDaemonDrainAndRestartFromDiskCache(t *testing.T) {
 	if !restarted.Cached {
 		t.Fatal("restarted daemon re-planned instead of serving the disk tier")
 	}
-	if diff := conformance.DiffResults(first.Result.Result(), restarted.Result.Result()); diff != "" {
+	if diff := conformance.DiffResults(first.Result, restarted.Result); diff != "" {
 		t.Fatalf("restart result not bit-identical: %s", diff)
 	}
 	fromDrain, err := d2.Client.Plan(ctx, graphB, optsB)

@@ -1,6 +1,7 @@
 package mcmpart_test
 
 import (
+	"context"
 	"testing"
 
 	"mcmpart"
@@ -14,6 +15,11 @@ import (
 // either returns a typed error or a partition that passes ValidateOn with
 // consistent Result fields — never a panic, never a silently-invalid plan.
 func FuzzPlan(f *testing.F) {
+	pkg := mcmpart.Dev4()
+	pl, err := mcmpart.NewPlanner(pkg)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(int64(1), uint8(0), uint16(24), uint8(0), uint8(4), false)
 	f.Add(int64(2), uint8(1), uint16(40), uint8(1), uint8(6), true)
 	f.Add(int64(3), uint8(2), uint16(56), uint8(2), uint8(3), false)
@@ -26,14 +32,13 @@ func FuzzPlan(f *testing.F) {
 			Seed:   seed,
 		})
 		methods := []mcmpart.Method{mcmpart.MethodGreedy, mcmpart.MethodRandom, mcmpart.MethodSA}
-		pkg := mcmpart.Dev4()
-		opts := mcmpart.Options{
+		opts := mcmpart.PlanOptions{
 			Method:       methods[int(methodIdx)%len(methods)],
 			SampleBudget: 1 + int(budget%6),
 			Seed:         int64(uint64(seed) >> 1), // PlanOptions seeds are non-negative
 			UseSimulator: useSim,
 		}
-		res, err := mcmpart.PartitionGraph(g, pkg, opts)
+		res, err := pl.Plan(context.Background(), g, opts)
 		if err != nil {
 			if res != nil {
 				t.Fatalf("error %v came with a non-nil result", err)

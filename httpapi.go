@@ -36,77 +36,37 @@ import (
 // draining daemon is typically being replaced), so clients with retry
 // enabled honor it and try again.
 
-// PlanOptionsWire is the JSON form of PlanOptions (Progress is not
-// serializable and has a polling equivalent in JobStatus).
-type PlanOptionsWire struct {
-	Method           Method `json:"method,omitempty"`
-	SampleBudget     int    `json:"sample_budget,omitempty"`
-	Seed             int64  `json:"seed,omitempty"`
-	UseSimulator     bool   `json:"use_simulator,omitempty"`
-	SeedFromAnalytic bool   `json:"seed_from_analytic,omitempty"`
-}
+// PlanOptionsWire and ResultWire name the wire forms of PlanOptions and
+// Result, which are the same types: each encodes itself. The aliases remain
+// for the e2ebench module.
+type (
+	PlanOptionsWire = PlanOptions
+	ResultWire      = Result
+)
 
-// Options converts the wire form to PlanOptions.
-func (w PlanOptionsWire) Options() PlanOptions {
-	return PlanOptions{
-		Method:           w.Method,
-		SampleBudget:     w.SampleBudget,
-		Seed:             w.Seed,
-		UseSimulator:     w.UseSimulator,
-		SeedFromAnalytic: w.SeedFromAnalytic,
-	}
-}
+// Options returns o.
+//
+// Deprecated: use o directly. This identity exists only because the
+// e2ebench module still calls it.
+func (o PlanOptions) Options() PlanOptions { return o }
 
-// ResultWire is the JSON form of Result.
-type ResultWire struct {
-	Partition   Partition      `json:"partition"`
-	Throughput  float64        `json:"throughput"`
-	Improvement float64        `json:"improvement"`
-	Samples     int            `json:"samples"`
-	History     []float64      `json:"history,omitempty"`
-	FailCounts  map[string]int `json:"fail_counts,omitempty"`
-}
-
-func resultToWire(r *Result) *ResultWire {
-	if r == nil {
-		return nil
-	}
-	return &ResultWire{
-		Partition:   r.Partition,
-		Throughput:  r.Throughput,
-		Improvement: r.Improvement,
-		Samples:     r.Samples,
-		History:     r.History,
-		FailCounts:  r.FailCounts,
-	}
-}
-
-// Result converts the wire form back to a Result.
-func (w *ResultWire) Result() *Result {
-	if w == nil {
-		return nil
-	}
-	return &Result{
-		Partition:   w.Partition,
-		Throughput:  w.Throughput,
-		Improvement: w.Improvement,
-		Samples:     w.Samples,
-		History:     w.History,
-		FailCounts:  w.FailCounts,
-	}
-}
+// Result returns r.
+//
+// Deprecated: use r directly. This identity exists only because the
+// e2ebench module still calls it.
+func (r *Result) Result() *Result { return r }
 
 // PlanRequestWire is the body of POST /v1/plan and POST /v1/jobs.
 type PlanRequestWire struct {
 	// Graph uses the graph's native JSON encoding
 	// ({"name", "nodes", "edges"}, see Graph.MarshalJSON).
-	Graph   *Graph          `json:"graph"`
-	Options PlanOptionsWire `json:"options"`
+	Graph   *Graph      `json:"graph"`
+	Options PlanOptions `json:"options"`
 }
 
 // PlanResponse is the body of a successful POST /v1/plan.
 type PlanResponse struct {
-	Result *ResultWire `json:"result"`
+	Result *Result `json:"result"`
 	// Cached reports that the plan was served from the plan cache.
 	Cached bool `json:"cached"`
 	// Coalesced reports that the plan shared another request's in-flight
@@ -122,7 +82,7 @@ type PlanResponse struct {
 // the result once the job is terminal.
 type JobResponse struct {
 	JobStatus
-	Result *ResultWire `json:"result,omitempty"`
+	Result *Result `json:"result,omitempty"`
 }
 
 // PoliciesResponse is the body of GET /v1/policies.
@@ -208,28 +168,19 @@ func NewHTTPHandlerWithOptions(svc *Service, httpOpts HTTPOptions) http.Handler 
 		if !ok {
 			return
 		}
-		job, err := svc.Submit(r.Context(), PlanRequest{Graph: req.Graph, Options: req.Options.Options()})
+		job, err := svc.Submit(r.Context(), PlanRequest{Graph: req.Graph, Options: req.Options})
 		if err != nil {
 			writeServiceError(w, err)
 			return
 		}
-		var res *Result
-		select {
-		case <-job.Done():
-			res, err = job.Result()
-		case <-r.Context().Done():
-			job.Cancel()
-			<-job.Done()
-			res, _ = job.Result()
-			err = r.Context().Err()
-		}
+		res, err := job.await(r.Context())
 		if err != nil && res == nil {
 			writeServiceError(w, err)
 			return
 		}
 		status := job.Status()
 		resp := PlanResponse{
-			Result:           resultToWire(res),
+			Result:           res,
 			Cached:           status.Cached,
 			Coalesced:        status.Coalesced,
 			GraphFingerprint: req.Graph.Fingerprint(),
@@ -245,7 +196,7 @@ func NewHTTPHandlerWithOptions(svc *Service, httpOpts HTTPOptions) http.Handler 
 		if !ok {
 			return
 		}
-		job, err := svc.Submit(r.Context(), PlanRequest{Graph: req.Graph, Options: req.Options.Options()})
+		job, err := svc.Submit(r.Context(), PlanRequest{Graph: req.Graph, Options: req.Options})
 		if err != nil {
 			writeServiceError(w, err)
 			return
@@ -260,9 +211,7 @@ func NewHTTPHandlerWithOptions(svc *Service, httpOpts HTTPOptions) http.Handler 
 			return
 		}
 		resp := JobResponse{JobStatus: job.Status()}
-		if res, _ := job.Result(); res != nil {
-			resp.Result = resultToWire(res)
-		}
+		resp.Result, _ = job.Result()
 		writeJSON(w, http.StatusOK, resp)
 	})
 

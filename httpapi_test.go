@@ -50,7 +50,7 @@ func TestHTTPPlanRoundTripAndCache(t *testing.T) {
 	if !second.Cached {
 		t.Fatal("second identical plan must be served from the cache")
 	}
-	if err := resultsBitIdentical(first.Result.Result(), second.Result.Result()); err != nil {
+	if err := resultsBitIdentical(first.Result, second.Result); err != nil {
 		t.Fatalf("cached response not bit-identical over the wire: %v", err)
 	}
 	stats, err := cl.Stats(ctx)

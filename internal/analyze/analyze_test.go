@@ -169,7 +169,7 @@ func TestComputeBoundSoundOnSegmentations(t *testing.T) {
 }
 
 func TestInfeasibleWeights(t *testing.T) {
-	pkg := mcm.Dev4() // 32 MiB total
+	pkg := mcm.Dev4()            // 32 MiB total
 	g := chain(t, 8, 1e9, 8<<20) // 64 MiB of weights
 	a, err := New(g, pkg)
 	if err != nil {

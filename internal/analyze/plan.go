@@ -199,7 +199,7 @@ func (a *Analysis) refineK(k int, bounds []int) bool {
 		if g := sort.Search(n-1, func(g int) bool { return a.prefW[g+1] > wLimit }) - 1; g < hi {
 			hi = g
 		}
-		if need := a.prefW[end+1] - a.pkg.ChipSRAM(i + 1); need > 0 {
+		if need := a.prefW[end+1] - a.pkg.ChipSRAM(i+1); need > 0 {
 			if g := sort.Search(n-1, func(g int) bool { return a.prefW[g+1] >= need }); g > lo {
 				lo = g
 			}

@@ -11,9 +11,9 @@ package graph
 // A CSR is immutable. Out(v) and In(v) return subslices of the shared flat
 // arrays; callers must not mutate them.
 type CSR struct {
-	n                int
-	outOff, inOff    []int32
-	outEdge, inEdge  []int32
+	n               int
+	outOff, inOff   []int32
+	outEdge, inEdge []int32
 }
 
 // NumNodes returns |V| of the graph the view was built from.

@@ -157,6 +157,23 @@ func (j *Job) Wait(ctx context.Context) (*Result, error) {
 	}
 }
 
+// await is Wait with give-up-and-stop semantics: when ctx wins, the job is
+// cancelled and awaited, and its best-so-far result is returned with
+// ctx.Err(), the cancellation contract Planner.Plan has. Service.Plan and
+// POST /v1/plan both wait this way.
+func (j *Job) await(ctx context.Context) (*Result, error) {
+	select {
+	case <-j.done:
+		return j.Result()
+	case <-ctx.Done():
+		j.Cancel()
+		<-j.done
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return cloneResult(j.result), ctx.Err()
+	}
+}
+
 // Cancel asks the job to stop. A queued job finishes cancelled without
 // planning; a running job stops at the next sample boundary and keeps its
 // best-so-far result. Cancel returns immediately; observe completion via
@@ -192,7 +209,7 @@ func (j *Job) recordProgress(ev ProgressEvent) {
 }
 
 // finish moves the job to a terminal state exactly once, reporting whether
-// this call made the transition.
+// this call made the transition. The caller must then release the job.
 func (j *Job) finish(state JobState, res *Result, err error, cached bool) bool {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -208,9 +225,15 @@ func (j *Job) finish(state JobState, res *Result, err error, cached bool) bool {
 		j.best = res.Improvement
 	}
 	j.mu.Unlock()
+	return true
+}
+
+// release wakes the job's waiters. It is separate from finish so the
+// Service can count the terminal state first: a waiter that reads Stats
+// after Done must see its own job counted.
+func (j *Job) release() {
 	// Release the job's child context so a long-lived service does not
 	// accumulate one cancel registration per request ever served.
 	j.cancel()
 	close(j.done)
-	return true
 }

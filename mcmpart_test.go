@@ -1,6 +1,7 @@
 package mcmpart_test
 
 import (
+	"context"
 	"testing"
 
 	"mcmpart"
@@ -26,11 +27,21 @@ func smallGraph(t *testing.T) *mcmpart.Graph {
 	return g
 }
 
-func TestPartitionGraphMethods(t *testing.T) {
+func newPlanner(t *testing.T, pkg *mcmpart.Package) *mcmpart.Planner {
+	t.Helper()
+	pl, err := mcmpart.NewPlanner(pkg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+func TestPlanMethods(t *testing.T) {
 	g := smallGraph(t)
 	pkg := mcmpart.Dev4()
+	pl := newPlanner(t, pkg)
 	for _, m := range []mcmpart.Method{mcmpart.MethodGreedy, mcmpart.MethodRandom, mcmpart.MethodSA} {
-		res, err := mcmpart.PartitionGraph(g, pkg, mcmpart.Options{Method: m, SampleBudget: 30, Seed: 2})
+		res, err := pl.Plan(context.Background(), g, mcmpart.PlanOptions{Method: m, SampleBudget: 30, Seed: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -43,10 +54,10 @@ func TestPartitionGraphMethods(t *testing.T) {
 	}
 }
 
-func TestPartitionGraphRL(t *testing.T) {
+func TestPlanRL(t *testing.T) {
 	g := smallGraph(t)
 	pkg := mcmpart.Dev4()
-	res, err := mcmpart.PartitionGraph(g, pkg, mcmpart.Options{Method: mcmpart.MethodRL, SampleBudget: 20, Seed: 2})
+	res, err := newPlanner(t, pkg).Plan(context.Background(), g, mcmpart.PlanOptions{Method: mcmpart.MethodRL, SampleBudget: 20, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +70,10 @@ func TestPartitionGraphRL(t *testing.T) {
 	}
 }
 
-func TestPartitionGraphWithSimulator(t *testing.T) {
+func TestPlanWithSimulator(t *testing.T) {
 	g := smallGraph(t)
 	pkg := mcmpart.Dev4()
-	res, err := mcmpart.PartitionGraph(g, pkg, mcmpart.Options{
+	res, err := newPlanner(t, pkg).Plan(context.Background(), g, mcmpart.PlanOptions{
 		Method: mcmpart.MethodRandom, SampleBudget: 20, Seed: 3, UseSimulator: true,
 	})
 	if err != nil {
@@ -77,19 +88,20 @@ func TestPartitionGraphWithSimulator(t *testing.T) {
 	}
 }
 
-func TestPartitionGraphErrors(t *testing.T) {
+func TestPlanErrors(t *testing.T) {
 	g := smallGraph(t)
 	pkg := mcmpart.Dev4()
-	if _, err := mcmpart.PartitionGraph(g, pkg, mcmpart.Options{Method: "bogus"}); err == nil {
+	pl := newPlanner(t, pkg)
+	if _, err := pl.Plan(context.Background(), g, mcmpart.PlanOptions{Method: "bogus"}); err == nil {
 		t.Fatal("unknown method should fail")
 	}
 	bad := *pkg
 	bad.Chips = 0
-	if _, err := mcmpart.PartitionGraph(g, &bad, mcmpart.Options{}); err == nil {
+	if _, err := mcmpart.NewPlanner(&bad); err == nil {
 		t.Fatal("invalid package should fail")
 	}
 	empty := mcmpart.NewGraph("empty")
-	if _, err := mcmpart.PartitionGraph(empty, pkg, mcmpart.Options{}); err == nil {
+	if _, err := pl.Plan(context.Background(), empty, mcmpart.PlanOptions{}); err == nil {
 		t.Fatal("empty graph should fail")
 	}
 }

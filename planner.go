@@ -38,31 +38,33 @@ type ProgressEvent struct {
 // goroutine driving the search; keep them fast.
 type ProgressFunc func(ProgressEvent)
 
-// PlanOptions configure one Planner.Plan call.
+// PlanOptions configure one Planner.Plan call. Its JSON encoding is the
+// "options" object of the HTTP API; Progress is not serializable and has a
+// polling equivalent in JobStatus.
 type PlanOptions struct {
 	// Method defaults to MethodRL. MethodZeroShot and MethodFineTune
 	// require a policy (Pretrain or LoadPolicy first).
-	Method Method
+	Method Method `json:"method,omitempty"`
 	// SampleBudget bounds the number of candidate evaluations for the
 	// search-based methods (default 200; ignored by MethodGreedy).
-	SampleBudget int
+	SampleBudget int `json:"sample_budget,omitempty"`
 	// Seed makes runs reproducible. Seed 0 is remapped to 1 (the
 	// documented default), so the zero value of PlanOptions and an
 	// explicit Seed: 1 are the same plan.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// UseSimulator evaluates candidates on the hardware simulator
 	// (including the dynamic memory constraint) instead of the faster
 	// analytical cost model.
-	UseSimulator bool
+	UseSimulator bool `json:"use_simulator,omitempty"`
 	// SeedFromAnalytic primes the search-based methods with the analytic
 	// fast path's plan as their first sample, so the search starts from a
 	// strong valid incumbent instead of from nothing. Best-effort: when
 	// the analysis finds no layout the search runs unseeded. Ignored by
 	// MethodGreedy and MethodAnalytic (canonicalized to false).
-	SeedFromAnalytic bool
+	SeedFromAnalytic bool `json:"seed_from_analytic,omitempty"`
 	// Progress, when set, streams (samples, best-so-far improvement)
 	// after every evaluated candidate.
-	Progress ProgressFunc
+	Progress ProgressFunc `json:"-"`
 }
 
 // normalized validates the options and applies the documented defaults

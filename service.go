@@ -758,12 +758,12 @@ func (s *Service) diskGet(key string) (*Result, bool) {
 	if !ok {
 		return nil, false
 	}
-	var w ResultWire
-	if err := json.Unmarshal(payload, &w); err != nil {
+	var res Result
+	if err := json.Unmarshal(payload, &res); err != nil {
 		s.disk.Quarantine(key, fmt.Errorf("undecodable payload: %w", err))
 		return nil, false
 	}
-	return w.Result(), true
+	return &res, true
 }
 
 // registerJobLocked allocates, registers, and retention-evicts under s.mu.
@@ -856,7 +856,7 @@ func (s *Service) runFlight(fl *flight) {
 				key := planCacheKey(fl.graphFP, s.pkgFP, fpBefore, opts)
 				s.cache.put(key, res)
 				if s.disk != nil {
-					if payload, merr := json.Marshal(resultToWire(res)); merr == nil {
+					if payload, merr := json.Marshal(res); merr == nil {
 						_ = s.disk.Put(key, payload) // logged + counted by the store
 					}
 				}
@@ -985,6 +985,7 @@ func (s *Service) finishJob(job *Job, state JobState, res *Result, err error, ca
 	case JobCancelled:
 		s.m.jobsCancelled.Inc()
 	}
+	job.release()
 	s.jobsWG.Done()
 }
 
@@ -997,15 +998,7 @@ func (s *Service) Plan(ctx context.Context, g *Graph, opts PlanOptions) (*Result
 	if err != nil {
 		return nil, err
 	}
-	select {
-	case <-job.Done():
-		return job.Result()
-	case <-ctx.Done():
-		job.Cancel()
-		<-job.Done()
-		res, _ := job.Result()
-		return res, ctx.Err()
-	}
+	return job.await(ctx)
 }
 
 // PlanBatch submits every request and waits for all of them. The results

@@ -281,7 +281,7 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 
 	body, err := json.Marshal(mcmpart.PlanRequestWire{
 		Graph:   smallGraph(t),
-		Options: mcmpart.PlanOptionsWire{Method: mcmpart.MethodRandom, SampleBudget: 10, Seed: 5},
+		Options: mcmpart.PlanOptions{Method: mcmpart.MethodRandom, SampleBudget: 10, Seed: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +357,7 @@ func TestRequestIDPropagation(t *testing.T) {
 
 	body, err := json.Marshal(mcmpart.PlanRequestWire{
 		Graph:   smallGraph(t),
-		Options: mcmpart.PlanOptionsWire{Method: mcmpart.MethodRandom, SampleBudget: 10, Seed: 6},
+		Options: mcmpart.PlanOptions{Method: mcmpart.MethodRandom, SampleBudget: 10, Seed: 6},
 	})
 	if err != nil {
 		t.Fatal(err)
